@@ -6,7 +6,7 @@
 //! atomic load and a predictable branch).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use er_telemetry::{counter, histogram, span, Mode};
+use er_telemetry::{counter, span, Mode};
 
 fn bench_counter_disabled(c: &mut Criterion) {
     er_telemetry::set_mode(Mode::Off);
@@ -19,18 +19,6 @@ fn bench_counter_enabled(c: &mut Criterion) {
     er_telemetry::set_mode(Mode::Counters);
     c.bench_function("telemetry/counter_add_enabled", |b| {
         b.iter(|| counter!("bench.enabled").add(black_box(1)));
-    });
-    er_telemetry::set_mode(Mode::Off);
-}
-
-fn bench_histogram_enabled(c: &mut Criterion) {
-    er_telemetry::set_mode(Mode::Counters);
-    c.bench_function("telemetry/histogram_record_enabled", |b| {
-        let mut v = 0u64;
-        b.iter(|| {
-            v = v.wrapping_add(0x9e37_79b9);
-            histogram!("bench.hist").record(black_box(v));
-        });
     });
     er_telemetry::set_mode(Mode::Off);
 }
@@ -58,7 +46,6 @@ criterion_group!(
     benches,
     bench_counter_disabled,
     bench_counter_enabled,
-    bench_histogram_enabled,
     bench_span_disabled,
     bench_span_counters,
 );

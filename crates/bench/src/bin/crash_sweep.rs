@@ -32,7 +32,7 @@ use er_chaos::{ChaosPlan, Fault, FaultPolicy};
 use er_durable::{fnv64, CrashSignal, Wal, WatchdogConfig};
 use er_fleet::sched::SchedulerConfig;
 use er_fleet::sim::{Fleet, FleetConfig, FleetReport, FleetSpec, Traffic};
-use er_solver::cancel::PhaseBudgets;
+use er_solver::meter::PhaseBudgets;
 use er_workloads::{all, by_name, Scale, Workload};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -17,8 +17,9 @@ use er_minilang::error::Failure;
 use er_minilang::interp::SchedConfig;
 use er_minilang::ir::{InstrId, Program};
 use er_pt::TraceEvent;
+use er_solver::meter::{Meter, Phase};
 use er_solver::solve::Budget;
-use er_symex::{MachineState, ShepherdStatus, SymConfig, TraceDivergence};
+use er_symex::{MachineState, ShepherdStatus, SymConfig, SymMachine, TraceDivergence};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -275,6 +276,10 @@ pub enum SessionStep {
 /// exactly one iteration of the paper's loop; the serial driver
 /// ([`Reconstructor::reconstruct`]) is now a thin wrapper that feeds it
 /// from a [`DeploymentSource`].
+///
+/// The session owns the work [`Meter`] its iterations bill (unlimited
+/// unless a supervisor replaces it through [`meter_mut`](Self::meter_mut)),
+/// so cloning the session snapshots the meter with it.
 #[derive(Debug, Clone)]
 pub struct ReconstructionSession {
     config: ErConfig,
@@ -285,6 +290,7 @@ pub struct ReconstructionSession {
     total_symbex: Duration,
     prev: Option<ResumeCache>,
     occurrences: u32,
+    meter: Meter,
 }
 
 impl ReconstructionSession {
@@ -299,7 +305,20 @@ impl ReconstructionSession {
             total_symbex: Duration::ZERO,
             prev: None,
             occurrences: 0,
+            meter: Meter::default(),
         }
+    }
+
+    /// The work meter the next iteration bills.
+    pub fn meter(&self) -> &Meter {
+        &self.meter
+    }
+
+    /// Mutable access to the work meter: a supervisor installs a budgeted
+    /// [`Meter`] before an iteration, and bills work it does on the
+    /// session's behalf (trace decoding) to it.
+    pub fn meter_mut(&mut self) -> &mut Meter {
+        &mut self.meter
     }
 
     /// The original (uninstrumented) program.
@@ -421,16 +440,20 @@ impl ReconstructionSession {
     /// fleet ingestion path stores packets compressed and flattens them
     /// with [`er_pt::packets_to_events`], which reproduces
     /// [`er_pt::PtTrace::decode`] bit-for-bit.
+    ///
+    /// The iteration bills the session's [`Meter`]. If the meter trips, the
+    /// iteration stops right there and returns
+    /// `NeedOccurrence { reinstrumented: false }` with the session left
+    /// mid-iteration: the supervisor must restore the clone it took before.
     pub fn consume_events(
         &mut self,
         inst: &InstrumentedProgram,
         info: OccurrenceInfo,
         events: Vec<TraceEvent>,
     ) -> SessionStep {
-        // IterationStats are derived from telemetry counter snapshots (one
-        // source of truth), so collection must be live even when the user
-        // asked for no telemetry output.
-        let _counters = er_telemetry::ensure_counters();
+        const CANCELLED: SessionStep = SessionStep::NeedOccurrence {
+            reinstrumented: false,
+        };
         self.occurrences += 1;
         let occurrence = self.occurrences;
         self.target.get_or_insert(info.failure.clone());
@@ -468,30 +491,23 @@ impl ReconstructionSession {
                     })
             });
 
-        // Counter deltas around the shepherded execution are the single
-        // source of truth for per-iteration effort: the same numbers
-        // feed IterationStats here and the journal's span events.
-        let snap_before = er_telemetry::local_snapshot();
-        er_solver::cancel::begin_phase(er_solver::cancel::Phase::Shepherd);
-        let report = match resume_state {
+        let machine = match resume_state {
             Some(state) => {
                 er_telemetry::counter!("symex.checkpoint_resumes").incr();
-                shepherd::shepherd_resume(
-                    &inst.program,
-                    &events,
-                    Some(&info.failure_instrumented),
-                    self.config.sym,
-                    state,
-                )
+                SymMachine::resume(&inst.program, self.config.sym, state)
             }
-            None => shepherd::shepherd_events(
-                &inst.program,
-                &events,
-                Some(&info.failure_instrumented),
-                self.config.sym,
-            ),
+            None => SymMachine::new(&inst.program, self.config.sym),
         };
-        let shepherd_delta = er_telemetry::local_snapshot().delta(&snap_before);
+        self.meter.begin(Phase::Shepherd);
+        let report = shepherd::follow(
+            machine,
+            &events,
+            Some(&info.failure_instrumented),
+            &mut self.meter,
+        );
+        if self.meter.tripped().is_some() {
+            return CANCELLED;
+        }
         self.total_symbex += report.wall;
         let mut run = report.run;
         let checkpoints = std::mem::take(&mut run.checkpoints);
@@ -501,8 +517,8 @@ impl ReconstructionSession {
             instr_count: info.instr_count,
             trace_bytes: info.trace_bytes,
             symbex_wall: report.wall,
-            symbex_steps: shepherd_delta.get("symex.steps"),
-            solver_work: shepherd_delta.get("solver.work_units"),
+            symbex_steps: run.stats.steps,
+            solver_work: run.stats.work_units,
             stalled: None,
             graph_nodes: run.pool.len(),
             longest_chain: run.longest_chain,
@@ -513,7 +529,10 @@ impl ReconstructionSession {
 
         let stalled = match &run.status {
             ShepherdStatus::Completed => {
-                match shepherd::solve_inputs(&mut run, &self.config.final_budget) {
+                self.meter.begin(Phase::Solve);
+                match shepherd::solve_metered(&mut run, &self.config.final_budget, &mut self.meter)
+                {
+                    _ if self.meter.tripped().is_some() => return CANCELLED,
                     Ok(inputs) => {
                         let tc = TestCase {
                             inputs,
@@ -577,15 +596,16 @@ impl ReconstructionSession {
         };
         stats.stalled = Some(stalled);
 
+        // Selection cost scales with the constraint graph; bill it up front
+        // in pool-node units.
+        self.meter.begin(Phase::Select);
+        if self.meter.bill(run.pool.len() as u64) {
+            return CANCELLED;
+        }
         // Key data value selection on the constraint graph, with ids
         // translated back to original program coordinates.
         let set = {
             let _s = er_telemetry::span!("phase.select");
-            er_solver::cancel::begin_phase(er_solver::cancel::Phase::Select);
-            // Selection cost scales with the constraint graph; bill it up
-            // front in pool-node units. A trip here surfaces through the
-            // supervisor's post-iteration check, not mid-selection.
-            er_solver::cancel::tick(run.pool.len() as u64);
             self.select(&run, inst, occurrence)
         };
         let new_sites: Vec<InstrId> = set
@@ -745,10 +765,6 @@ impl Reconstructor {
     /// entry point: any [`FailureSource`] (one deployment, or a pool of
     /// instances) can feed the loop.
     pub fn reconstruct_from(&self, source: &mut dyn FailureSource) -> ReconstructionReport {
-        // Counter collection must be live even when the user asked for no
-        // telemetry output; the guard raises `off` to `counters` for the
-        // duration of this call only.
-        let _counters = er_telemetry::ensure_counters();
         let _span = er_telemetry::span!("reconstruct");
         let mut session = ReconstructionSession::new(self.config, source.program().clone());
 
@@ -873,10 +889,10 @@ mod tests {
     fn checkpoint_resume_fires_and_preserves_outcome() {
         // A long input-independent crunch prefix (identical events across
         // occurrences) followed by the aliasing stall: the second
-        // occurrence must resume from a snapshot inside the shared prefix,
-        // and the reproduction must be bit-identical to the uncached,
+        // occurrence must resume from a snapshot inside the shared prefix
+        // (so it steps less than the from-scratch baseline), and the
+        // reproduction must be bit-identical to the uncached,
         // checkpoint-free baseline.
-        let _l = er_telemetry::counters::test_mutex().lock().unwrap();
         let src = r#"
             global TBL: [u64; 2048];
             fn main() {
@@ -910,17 +926,11 @@ mod tests {
             };
             Reconstructor::new(config).reconstruct(&d)
         };
-        let _g = er_telemetry::ensure_counters();
-        let before = er_telemetry::local_snapshot();
         let optimized = run_with(SymConfig {
             solver_budget: Budget::small(),
             checkpoint_every: 64,
             ..SymConfig::default()
         });
-        let resumes = er_telemetry::local_snapshot()
-            .delta(&before)
-            .get("symex.checkpoint_resumes");
-        assert!(resumes > 0, "expected at least one checkpoint resume");
         let baseline = run_with(SymConfig {
             solver_budget: Budget::small(),
             incremental_solver: false,
@@ -947,6 +957,18 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(summarize(&optimized), summarize(&baseline));
+        let steps = |r: &ReconstructionReport| {
+            r.iterations
+                .iter()
+                .map(|it| it.symbex_steps)
+                .collect::<Vec<_>>()
+        };
+        let (opt, base) = (steps(&optimized), steps(&baseline));
+        assert_eq!(opt[0], base[0], "nothing to resume from yet");
+        assert!(
+            opt.iter().zip(&base).skip(1).all(|(o, b)| o < b),
+            "later occurrences resume mid-trace: {opt:?} vs {base:?}"
+        );
     }
 
     #[test]

@@ -8,8 +8,9 @@
 use er_minilang::error::Failure;
 use er_minilang::ir::Program;
 use er_pt::sink::PtTrace;
+use er_solver::meter::Meter;
 use er_solver::solve::{Budget, SatResult, Solver, StallReason};
-use er_symex::{MachineState, SymConfig, SymMachine, SymRunResult};
+use er_symex::{SymConfig, SymMachine, SymRunResult};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -49,30 +50,25 @@ pub fn shepherd_events(
     failure: Option<&Failure>,
     config: SymConfig,
 ) -> ShepherdReport {
-    let _span = er_telemetry::span!("shepherd.symbex");
-    let start = Instant::now();
-    let run = SymMachine::new(program, config).run(events, failure);
-    ShepherdReport {
-        run,
-        wall: start.elapsed(),
-        event_count: events.len(),
-    }
+    follow(
+        SymMachine::new(program, config),
+        events,
+        failure,
+        &mut Meter::default(),
+    )
 }
 
-/// Follows already-decoded events symbolically, resuming from a snapshot
-/// taken on an earlier trace of the same program. The caller must have
-/// verified the event prefix up to `state.cursor()` is identical and
-/// remapped instruction sites if instrumentation changed.
-pub fn shepherd_resume(
-    program: &Program,
+/// Runs `machine` (fresh, or resumed from a snapshot whose event prefix the
+/// caller has matched against `events`) along `events`, billing `meter`.
+pub(crate) fn follow(
+    machine: SymMachine<'_>,
     events: &[er_pt::TraceEvent],
     failure: Option<&Failure>,
-    config: SymConfig,
-    state: MachineState,
+    meter: &mut Meter,
 ) -> ShepherdReport {
     let _span = er_telemetry::span!("shepherd.symbex");
     let start = Instant::now();
-    let run = SymMachine::resume(program, config, state).run(events, failure);
+    let run = machine.run_metered(events, failure, meter);
     ShepherdReport {
         run,
         wall: start.elapsed(),
@@ -101,8 +97,16 @@ pub fn solve_inputs(
     run: &mut SymRunResult,
     budget: &Budget,
 ) -> Result<Vec<(u32, Vec<u8>)>, SolveFailure> {
+    solve_metered(run, budget, &mut Meter::default())
+}
+
+/// [`solve_inputs`], billing the query's SAT conflicts to `meter`.
+pub(crate) fn solve_metered(
+    run: &mut SymRunResult,
+    budget: &Budget,
+    meter: &mut Meter,
+) -> Result<Vec<(u32, Vec<u8>)>, SolveFailure> {
     let _span = er_telemetry::span!("shepherd.solve");
-    er_solver::cancel::begin_phase(er_solver::cancel::Phase::Solve);
     let assertions: Vec<_> = run
         .path
         .iter()
@@ -113,7 +117,11 @@ pub fn solve_inputs(
     for c in assertions {
         solver.assert(c);
     }
-    let model = match solver.check(budget) {
+    let checked = meter.check(budget, |budget| {
+        let r = solver.check(budget);
+        (r, solver.last_stats().conflicts)
+    });
+    let model = match checked {
         SatResult::Sat(m) => m,
         SatResult::Unsat => return Err(SolveFailure::Unsat),
         SatResult::Unknown(reason) => return Err(SolveFailure::Stall(reason)),

@@ -17,8 +17,8 @@
 //!   (simulated — see DESIGN.md §12), [`er_chaos::Fault::WalTear`] crash
 //!   injection, and recovery-on-open.
 //! * [`watchdog`] — the supervision policy layered on
-//!   [`er_solver::cancel`]: per-phase deadlines, an escalation ladder, and
-//!   a typed give-up at the cap.
+//!   [`er_solver::meter`]: per-phase work budgets, an escalation ladder,
+//!   and a typed give-up at the cap.
 //!
 //! The WAL journals *events*, not state snapshots: symbolic machine state
 //! is not serializable (it owns an expression pool and a live incremental

@@ -1,14 +1,15 @@
 //! Watchdog policy: per-phase deadlines and the escalation ladder.
 //!
-//! The mechanism lives in [`er_solver::cancel`] (a cooperative token the
-//! hot loops tick); this module is the *policy* the scheduler applies
-//! around it: initial per-phase budgets, the multiplication factor a
+//! The mechanism is [`er_solver::meter::Meter`], an explicit work meter
+//! that the scheduler installs in the session before each supervised
+//! iteration and that the hot loops bill; this module is the *policy* the
+//! scheduler applies around it: initial per-phase budgets, the multiplication factor a
 //! cancelled iteration's budgets grow by before the occurrence is
 //! re-queued, and the escalation cap after which the session takes a typed
 //! give-up ([`er_core::reconstruct::GiveUpReason::WatchdogExhausted`])
 //! instead of burning occurrences forever.
 
-use er_solver::cancel::PhaseBudgets;
+use er_solver::meter::PhaseBudgets;
 
 /// Watchdog supervision knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

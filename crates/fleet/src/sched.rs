@@ -23,6 +23,7 @@ use er_core::reconstruct::{
 use er_durable::{ConsumeOutcome, DurableEvent, Wal, WatchdogConfig, WatchdogState};
 use er_minilang::ir::Program;
 use er_pt::packets_to_events;
+use er_solver::meter::{Meter, Phase};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
@@ -559,10 +560,10 @@ impl Scheduler {
         out
     }
 
-    /// One worker-side iteration, under the watchdog when configured: arms
-    /// the cooperative cancellation token with the group's current phase
-    /// budgets, snapshots the session first, and — if any phase budget
-    /// trips mid-iteration — restores the snapshot so the cancelled work
+    /// One worker-side iteration, under the watchdog when configured:
+    /// snapshots the session first, installs a [`Meter`] with the group's
+    /// current phase budgets, and — if any phase budget trips mid-iteration
+    /// — restores the snapshot (meter included) so the cancelled work
     /// leaves no trace on the session.
     fn run_supervised(g: &mut GroupState, p: &PendingOccurrence, store: &TraceStore) -> IterResult {
         let Some(budgets) = g.watchdog.map(|w| w.budgets()) else {
@@ -575,11 +576,9 @@ impl Scheduler {
             g.iterations,
             g.version,
         );
-        let guard = er_solver::cancel::arm(budgets);
+        *g.session.meter_mut() = Meter::new(budgets);
         let outcome = Self::run_iteration(g, p, store);
-        let tripped = er_solver::cancel::tripped_phase();
-        drop(guard);
-        match tripped {
+        match g.session.meter().tripped() {
             Some(phase) => {
                 let (session, inst, next_run, iterations, version) = snapshot;
                 g.session = session;
@@ -622,13 +621,15 @@ impl Scheduler {
                 Ok((packets, gap)) => {
                     let events = {
                         let _s = er_telemetry::span!("shepherd.decode");
-                        let events = packets_to_events(&packets, gap);
-                        // Bill the decode-phase budget (the cancel token,
-                        // when armed, starts in Decode); a trip here
-                        // surfaces as a cancelled iteration.
-                        er_solver::cancel::tick(packets.len() as u64);
-                        events
+                        packets_to_events(&packets, gap)
                     };
+                    // A decode-phase trip cancels the iteration before it
+                    // shepherds.
+                    let meter = g.session.meter_mut();
+                    meter.begin(Phase::Decode);
+                    if meter.bill(packets.len() as u64) {
+                        return StepOutcome::NeedMore;
+                    }
                     g.session.consume_events(&g.inst, p.info.clone(), events)
                 }
                 Err(e) => g

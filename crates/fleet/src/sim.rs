@@ -282,7 +282,6 @@ impl Fleet {
                 "resume requires FleetConfig::durable",
             )
         })?;
-        let _counters = er_telemetry::ensure_counters();
         er_telemetry::set_context(&self.spec.label);
         let (wal, events, info) = Wal::open(path)?;
         er_telemetry::log!(
@@ -306,7 +305,6 @@ impl Fleet {
     }
 
     fn drive(&self, mut scheduler: Scheduler, mut store: TraceStore) -> FleetReport {
-        let _counters = er_telemetry::ensure_counters();
         er_telemetry::set_context(&self.spec.label);
         let _span = er_telemetry::span!("fleet.run");
         let start = Instant::now();

@@ -12,7 +12,7 @@ use er_durable::{CrashSignal, DurableEvent, Wal, WatchdogConfig};
 use er_fleet::sched::{Scheduler, SchedulerConfig};
 use er_fleet::sim::{Fleet, FleetConfig, FleetReport, FleetSpec, Traffic};
 use er_fleet::{StoreConfig, TraceStore};
-use er_solver::cancel::PhaseBudgets;
+use er_solver::meter::PhaseBudgets;
 use er_workloads::{by_name, Scale, Workload};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -337,13 +337,6 @@ impl IncrementalSolver {
                 SatResult::Sat(model)
             }
             SatOutcome::Unsat => SatResult::Unsat,
-            // An Unknown with a tripped watchdog token is a cancellation,
-            // not a budget exhaustion — the distinction matters upstream
-            // (cancelled sessions re-queue with escalated budgets; stalled
-            // ones reinstrument).
-            SatOutcome::Unknown if crate::cancel::cancelled() => {
-                SatResult::Unknown(StallReason::Cancelled)
-            }
             SatOutcome::Unknown => SatResult::Unknown(StallReason::Conflicts {
                 conflicts: self.last_stats.conflicts,
             }),

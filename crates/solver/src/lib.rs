@@ -48,10 +48,10 @@
 
 pub mod arrays;
 pub mod bitblast;
-pub mod cancel;
 pub mod cnf;
 pub mod expr;
 pub mod inc;
+pub mod meter;
 pub mod sat;
 pub mod simplify;
 pub mod solve;

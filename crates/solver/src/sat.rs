@@ -504,18 +504,11 @@ impl SatSolver {
                 if self.stats.conflicts > budget_end {
                     return SatOutcome::Unknown;
                 }
-                // One conflict = one unit of supervised solve work; a
-                // tripped watchdog token looks like an early budget
-                // exhaustion and unwinds through the same path.
-                if crate::cancel::tick(1) {
-                    return SatOutcome::Unknown;
-                }
                 if self.trail_lim.is_empty() {
                     self.ok = false;
                     return SatOutcome::Unsat;
                 }
                 let (learned, backjump) = self.analyze(conflict);
-                er_telemetry::histogram!("sat.learned_len").record(learned.len() as u64);
                 self.backtrack(backjump);
                 self.stats.learned += 1;
                 if learned.len() == 1 {

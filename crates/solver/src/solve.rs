@@ -63,9 +63,10 @@ pub enum StallReason {
     /// address — the access could not be proven unique nor confined to one
     /// object within the budget.
     AddressAmbiguity,
-    /// A watchdog cancellation token ([`crate::cancel`]) tripped mid-query:
-    /// the supervising scheduler cancelled this iteration's phase budget,
-    /// not the solver's own.
+    /// The iteration's watchdog [`crate::meter::Meter`] tripped: the query
+    /// (or the step loop around it) overspent the supervising scheduler's
+    /// phase budget, not the solver's own limits. The solver never reports
+    /// this itself; [`crate::meter::Meter::check`] does.
     Cancelled,
 }
 

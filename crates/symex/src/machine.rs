@@ -16,6 +16,7 @@ use er_minilang::value::Width;
 use er_pt::packet::TraceEvent;
 use er_solver::expr::{BvOp, CmpKind, ExprPool, ExprRef};
 use er_solver::inc::IncrementalSolver;
+use er_solver::meter::Meter;
 use er_solver::solve::{Budget, SatResult, StallReason};
 use std::collections::HashMap;
 
@@ -151,6 +152,23 @@ pub struct SymStats {
     pub mem_writes: u64,
 }
 
+impl SymStats {
+    /// The work done since `base` was taken.
+    fn since(&self, base: &SymStats) -> SymStats {
+        SymStats {
+            steps: self.steps - base.steps,
+            solver_queries: self.solver_queries - base.solver_queries,
+            work_units: self.work_units - base.work_units,
+            concretized_addrs: self.concretized_addrs - base.concretized_addrs,
+            symbolic_accesses: self.symbolic_accesses - base.symbolic_accesses,
+            ptw_bound: self.ptw_bound - base.ptw_bound,
+            forks_shepherded: self.forks_shepherded - base.forks_shepherded,
+            mem_reads: self.mem_reads - base.mem_reads,
+            mem_writes: self.mem_writes - base.mem_writes,
+        }
+    }
+}
+
 /// Everything a shepherded run produces; the ER core consumes this for
 /// test-case generation or key data value selection.
 #[derive(Debug)]
@@ -174,7 +192,8 @@ pub struct SymRunResult {
     /// The expression whose solver query stalled, if any — the seed for the
     /// stall-site fallback in key data value selection.
     pub stall_subject: Option<ExprRef>,
-    /// Work counters.
+    /// Work counters of this run. A resumed run counts only its own work,
+    /// not the work that produced its snapshot.
     pub stats: SymStats,
     /// Machine snapshots taken along the run (newest last), reusable to
     /// resume shepherding a later trace that shares an event prefix.
@@ -352,6 +371,8 @@ pub struct SymMachine<'p> {
     checkpoint_interval: u64,
     next_checkpoint_at: usize,
     start_cursor: usize,
+    /// The caller's meter, held for the duration of [`SymMachine::run_metered`].
+    meter: Meter,
 }
 
 impl<'p> SymMachine<'p> {
@@ -392,6 +413,7 @@ impl<'p> SymMachine<'p> {
             checkpoint_interval: config.checkpoint_every,
             next_checkpoint_at: usize::MAX,
             start_cursor: 0,
+            meter: Meter::default(),
         }
     }
 
@@ -436,13 +458,29 @@ impl<'p> SymMachine<'p> {
             checkpoint_interval: config.checkpoint_every,
             next_checkpoint_at: usize::MAX,
             start_cursor: state.cursor,
+            meter: Meter::default(),
         }
     }
 
     /// Follows `events` to the end; `failure` is the production failure the
     /// trace leads to (`None` for a trace of a completed run). A machine
     /// built by [`SymMachine::resume`] starts at its snapshot's cursor.
-    pub fn run(mut self, events: &[TraceEvent], failure: Option<&Failure>) -> SymRunResult {
+    pub fn run(self, events: &[TraceEvent], failure: Option<&Failure>) -> SymRunResult {
+        self.run_metered(events, failure, &mut Meter::default())
+    }
+
+    /// Like [`SymMachine::run`], billing the work to `meter`'s current
+    /// phase: one unit per step, plus the SAT conflicts of every solver
+    /// query, whose conflict limit the meter clamps to its remaining
+    /// budget. The run stalls with [`StallReason::Cancelled`] at the step
+    /// or query that trips the meter.
+    pub fn run_metered(
+        mut self,
+        events: &[TraceEvent],
+        failure: Option<&Failure>,
+        meter: &mut Meter,
+    ) -> SymRunResult {
+        std::mem::swap(&mut self.meter, meter);
         let base = self.stats;
         self.next_checkpoint_at = if self.checkpoint_interval > 0 {
             self.start_cursor + self.checkpoint_interval as usize
@@ -466,21 +504,20 @@ impl<'p> SymMachine<'p> {
             }
             Err(Stop::Diverge(d)) => (ShepherdStatus::Diverged(d), None),
         };
+        std::mem::swap(&mut self.meter, meter);
         let longest_chain = self.mem.longest_write_chain(&self.pool);
+        // A resumed run inherits its snapshot's counters and reports only
+        // the work it actually did.
+        let stats = self.stats.since(&base);
         if er_telemetry::enabled() {
             // One batched update per shepherded run; the step loop carries
-            // only plain field increments. Deltas, not totals: a resumed
-            // run inherits its snapshot's counters and must only report the
-            // work it actually did.
-            er_telemetry::counter!("symex.steps").add(self.stats.steps - base.steps);
-            er_telemetry::counter!("symex.solver_queries")
-                .add(self.stats.solver_queries - base.solver_queries);
-            er_telemetry::counter!("symex.forks_shepherded")
-                .add(self.stats.forks_shepherded - base.forks_shepherded);
-            er_telemetry::counter!("symex.mem_reads").add(self.stats.mem_reads - base.mem_reads);
-            er_telemetry::counter!("symex.mem_writes").add(self.stats.mem_writes - base.mem_writes);
-            er_telemetry::counter!("symex.ptw_bound").add(self.stats.ptw_bound - base.ptw_bound);
-            er_telemetry::histogram!("symex.write_chain_len").record(longest_chain);
+            // only plain field increments.
+            er_telemetry::counter!("symex.steps").add(stats.steps);
+            er_telemetry::counter!("symex.solver_queries").add(stats.solver_queries);
+            er_telemetry::counter!("symex.forks_shepherded").add(stats.forks_shepherded);
+            er_telemetry::counter!("symex.mem_reads").add(stats.mem_reads);
+            er_telemetry::counter!("symex.mem_writes").add(stats.mem_writes);
+            er_telemetry::counter!("symex.ptw_bound").add(stats.ptw_bound);
         }
         SymRunResult {
             status,
@@ -492,7 +529,7 @@ impl<'p> SymMachine<'p> {
             site_counts: self.site_counts,
             longest_chain,
             stall_subject,
-            stats: self.stats,
+            stats,
             checkpoints: self.checkpoints,
         }
     }
@@ -552,21 +589,30 @@ impl<'p> SymMachine<'p> {
 
     /// One solver query against the current path condition plus
     /// `assumptions`, routed through the persistent incremental engine (or
-    /// a throwaway one in the non-incremental baseline mode).
-    fn query(&mut self, assumptions: &[ExprRef], budget: &Budget) -> SatResult {
+    /// a throwaway one in the non-incremental baseline mode) and billed to
+    /// the meter. A query that trips the meter stops the run.
+    fn query(&mut self, assumptions: &[ExprRef], budget: &Budget) -> Result<SatResult, Stop> {
         self.stats.solver_queries += 1;
-        let (r, work) = if self.config.incremental_solver {
-            let r = self
-                .inc
-                .check_assuming(&mut self.pool, &self.path, assumptions, budget);
-            (r, self.inc.last_stats().work_units())
-        } else {
-            let mut fresh = IncrementalSolver::new();
-            let r = fresh.check_assuming(&mut self.pool, &self.path, assumptions, budget);
-            (r, fresh.last_stats().work_units())
-        };
+        let (pool, path, inc) = (&mut self.pool, &self.path, &mut self.inc);
+        let incremental = self.config.incremental_solver;
+        let mut work = 0;
+        let r = self.meter.check(budget, |budget| {
+            let mut fresh;
+            let solver = if incremental {
+                inc
+            } else {
+                fresh = IncrementalSolver::new();
+                &mut fresh
+            };
+            let r = solver.check_assuming(pool, path, assumptions, budget);
+            work = solver.last_stats().work_units();
+            (r, solver.last_stats().conflicts)
+        });
         self.stats.work_units += work;
-        r
+        if self.meter.tripped().is_some() {
+            return Err(Stop::Stall(StallReason::Cancelled, None));
+        }
+        Ok(r)
     }
 
     fn position(&self) -> InstrId {
@@ -654,7 +700,7 @@ impl<'p> SymMachine<'p> {
             // One supervised shepherd work unit per step. Stalling here
             // (rather than at an arbitrary instruction boundary) leaves the
             // machine consistent: no event half-applied, checkpoints intact.
-            if er_solver::cancel::tick(1) {
+            if self.meter.bill(1) {
                 return Err(Stop::Stall(StallReason::Cancelled, None));
             }
 
@@ -827,7 +873,7 @@ impl<'p> SymMachine<'p> {
             SymValue::Sym(_) => {
                 let e = addr.to_expr(&mut self.pool, 64);
                 let budget = self.config.solver_budget;
-                let model = match self.query(&[], &budget) {
+                let model = match self.query(&[], &budget)? {
                     SatResult::Sat(m) => m,
                     SatResult::Unsat => {
                         return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
@@ -843,7 +889,7 @@ impl<'p> SymMachine<'p> {
                 // sound under-approximation that avoids stalling here.
                 let vc = self.pool.bv_const(v, 64);
                 let ne = self.pool.ne(e, vc);
-                let unique = matches!(self.query(&[ne], &budget), SatResult::Unsat);
+                let unique = matches!(self.query(&[ne], &budget)?, SatResult::Unsat);
                 if unique || self.config.always_concretize {
                     let eq = self.pool.cmp(CmpKind::Eq, e, vc);
                     self.push_constraint(eq);
@@ -872,7 +918,7 @@ impl<'p> SymMachine<'p> {
                 // If containment cannot be proved (SAT or inconclusive),
                 // fall through to concretization — always sound, since any
                 // feasible address yields a valid stronger path.
-                let contained = matches!(self.query(&[outside], &budget), SatResult::Unsat);
+                let contained = matches!(self.query(&[outside], &budget)?, SatResult::Unsat);
                 if contained {
                     self.stats.symbolic_accesses += 1;
                     Ok(MemTarget::Symbolic { base, expr: e })

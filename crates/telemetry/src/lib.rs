@@ -1,5 +1,5 @@
-//! `er-telemetry`: structured spans, process-wide counters/histograms, and
-//! a JSONL event journal for the ER reconstruction pipeline.
+//! `er-telemetry`: structured spans, per-thread counters, and a JSONL event
+//! journal for the ER reconstruction pipeline.
 //!
 //! Design goals, in priority order:
 //!
@@ -8,9 +8,8 @@
 //!    else; the disabled path is one relaxed load and a predictable
 //!    branch (< 2 ns, verified by `crates/bench/benches/telemetry.rs`).
 //! 2. **Lock-free hot path when enabled.** Counters are relaxed
-//!    `AtomicU64` slots in per-thread tables; histograms are atomic
-//!    power-of-two bucket arrays. No mutex is ever taken on the
-//!    increment path (registration of a *new* counter name takes a lock
+//!    `AtomicU64` slots in per-thread tables. No mutex is ever taken on
+//!    the increment path (registration of a *new* counter name takes a lock
 //!    once per callsite, cached thereafter).
 //! 3. **Exact attribution.** Per-thread counter tables mean a
 //!    reconstruction running on one thread can take before/after
@@ -28,11 +27,12 @@
 //! | `counters` | timed, aggregated into counters | yes | no |
 //! | `full` | timed | yes | JSONL events under `ER_TELEMETRY_DIR` |
 //!
-//! Components that *need* counters for their own bookkeeping (e.g.
-//! `Reconstructor` deriving `IterationStats` from snapshots) can hold a
-//! [`CountersGuard`] from [`ensure_counters`], which raises `off` to
-//! `counters` for its lifetime without affecting an explicitly
-//! configured mode.
+//! Telemetry only observes: no algorithm reads a counter, so every mode
+//! yields the same reconstruction results (`IterationStats` comes from
+//! the symbolic run's own work counters). Harnesses that report counter
+//! deltas themselves (benchmarks, sweeps) hold a [`CountersGuard`] from
+//! [`ensure_counters`], which raises `off` to `counters` for its lifetime
+//! without affecting an explicitly configured mode.
 //!
 //! # Example
 //!
@@ -50,13 +50,11 @@
 //! ```
 
 pub mod counters;
-pub mod hist;
 pub mod journal;
 pub mod logging;
 pub mod span;
 
 pub use counters::{local_snapshot, CounterSnapshot};
-pub use hist::HistSnapshot;
 pub use journal::{read_journal, Event};
 pub use span::set_context;
 
@@ -68,8 +66,8 @@ use std::sync::Mutex;
 pub enum Mode {
     /// No collection; instrumentation macros are no-ops.
     Off = 0,
-    /// Counters and histograms collected; span timings aggregated into
-    /// counters; no journal.
+    /// Counters collected; span timings aggregated into counters; no
+    /// journal.
     Counters = 1,
     /// Everything in `Counters`, plus every span emits a JSONL event.
     Full = 2,
@@ -161,9 +159,8 @@ pub struct CountersGuard(());
 
 /// Raises the mode from `Off` to `Counters` for the guard's lifetime.
 ///
-/// Used by components that derive their own statistics from counter
-/// snapshots and therefore need collection even when the user asked for
-/// no telemetry output. Nested/concurrent guards are reference-counted;
+/// Used by harnesses that report counter deltas and therefore need
+/// collection even when the user asked for no telemetry output. Nested/concurrent guards are reference-counted;
 /// an explicit `counters`/`full` mode is left untouched.
 pub fn ensure_counters() -> CountersGuard {
     let _l = MODE_LOCK.lock().unwrap();

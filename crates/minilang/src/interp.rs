@@ -190,17 +190,14 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             self.sink.thread_resume(tid, self.icount);
             let quantum = self.next_quantum();
             let deadline = self.icount + quantum;
-            while self.icount < deadline {
-                if self.icount >= self.sched.max_instrs {
+            match self.run_slice(t, deadline.min(self.sched.max_instrs)) {
+                // A slice that ends short of the deadline ran into `max_instrs`.
+                StepResult::Continue if self.icount < deadline => {
                     return RunOutcome::Failure(self.failure_at(t, RuntimeFault::Hang));
                 }
-                match self.step(t) {
-                    StepResult::Continue => {}
-                    StepResult::Blocked => break,
-                    StepResult::ThreadDone => break,
-                    StepResult::Fault(f) => {
-                        return RunOutcome::Failure(self.failure_at(t, f));
-                    }
+                StepResult::Continue | StepResult::Blocked | StepResult::ThreadDone => {}
+                StepResult::Fault(f) => {
+                    return RunOutcome::Failure(self.failure_at(t, f));
                 }
             }
             if self.threads[t].state == ThreadState::Runnable {
@@ -240,91 +237,119 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
     }
 
-    fn reg(&self, t: usize, r: Reg) -> u64 {
-        self.threads[t].frames.last().expect("live frame").regs[r.0 as usize]
-    }
-
     fn set_reg(&mut self, t: usize, r: Reg, v: u64) {
         self.threads[t].frames.last_mut().expect("live frame").regs[r.0 as usize] = v;
     }
 
     fn operand(&self, t: usize, op: Operand) -> u64 {
-        match op {
-            Operand::Reg(r) => self.reg(t, r),
-            Operand::Imm(v) => v,
-        }
+        operand(&self.threads[t].frames.last().expect("live frame").regs, op)
     }
 
-    fn step(&mut self, t: usize) -> StepResult {
-        self.icount += 1;
-        let (func, block, ip) = {
-            let f = self.threads[t].frames.last().expect("live frame");
-            (f.func, f.block, f.ip)
-        };
-        let blk = self.program.func(func).block(block);
-        if ip >= blk.instrs.len() {
-            return self.terminator(t, func, block);
-        }
-        let instr = blk.instrs[ip].clone();
-        match self.exec_instr(t, &instr) {
-            Ok(flow) => {
-                if matches!(flow, InstrFlow::Advance) {
-                    self.threads[t].frames.last_mut().expect("live frame").ip += 1;
-                }
-                match flow {
-                    InstrFlow::Advance | InstrFlow::Redirected => StepResult::Continue,
-                    InstrFlow::Blocked => StepResult::Blocked,
-                }
-            }
-            Err(f) => StepResult::Fault(f),
-        }
-    }
-
-    fn terminator(&mut self, t: usize, func: FuncId, block: BlockId) -> StepResult {
-        let term = self
-            .program
-            .func(func)
-            .block(block)
-            .term
-            .clone()
-            .expect("lowering terminates every block");
-        match term {
-            Terminator::Jump(b) => {
-                let f = self.threads[t].frames.last_mut().expect("live frame");
-                f.block = b;
-                f.ip = 0;
-                StepResult::Continue
-            }
-            Terminator::Branch {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                let taken = self.operand(t, cond) != 0;
-                self.sink.cond_branch(taken);
-                let f = self.threads[t].frames.last_mut().expect("live frame");
-                f.block = if taken { then_blk } else { else_blk };
-                f.ip = 0;
-                StepResult::Continue
-            }
-            Terminator::Return(v) => {
-                let value = v.map(|op| self.operand(t, op)).unwrap_or(0);
-                self.sink.ret();
-                self.sink.ret_value(func, value);
-                let tid = self.threads[t].tid;
-                let frame = self.threads[t].frames.pop().expect("live frame");
-                self.mem.stack_restore(tid, frame.stack_mark);
-                if let Some(caller) = self.threads[t].frames.last_mut() {
-                    if let Some(dst) = frame.ret_dst {
-                        caller.regs[dst.0 as usize] = value;
+    /// Runs thread `t` until the instruction count reaches `limit`
+    /// (returning [`StepResult::Continue`]) or the thread blocks, finishes
+    /// or faults. Every instruction, terminators included, counts one and
+    /// starts only while the count is below `limit`, so a slice stops at
+    /// exactly the instruction where stepping one at a time would.
+    fn run_slice(&mut self, t: usize, limit: u64) -> StepResult {
+        let program = self.program;
+        let globals = program.globals.as_slice();
+        while self.icount < limit {
+            let frame = self.threads[t].frames.last_mut().expect("live frame");
+            let func = program.func(frame.func);
+            // Register instructions, jumps and branches touch nothing but
+            // the frame and the sink: they run with the frame borrowed once,
+            // block after block, until another instruction or a return.
+            let blk = loop {
+                let blk = func.block(frame.block);
+                let start = frame.ip;
+                let left = usize::try_from(limit - self.icount).unwrap_or(usize::MAX);
+                let end = blk.instrs.len().min(start.saturating_add(left));
+                let mut ip = start;
+                let mut fault = None;
+                let regs = frame.regs.as_mut_slice();
+                for instr in &blk.instrs[start..end] {
+                    match exec_register(instr, regs, globals) {
+                        Some(Ok(())) => ip += 1,
+                        Some(Err(f)) => {
+                            fault = Some(f);
+                            break;
+                        }
+                        None => break,
                     }
-                    caller.ip += 1; // move past the Call instruction
-                    StepResult::Continue
-                } else {
-                    self.thread_done(t);
-                    StepResult::ThreadDone
                 }
+                self.icount += (ip - start) as u64;
+                frame.ip = ip;
+                if let Some(f) = fault {
+                    self.icount += 1;
+                    return StepResult::Fault(f);
+                }
+                if self.icount == limit || ip < blk.instrs.len() {
+                    break blk;
+                }
+                let next = match *blk.term.as_ref().expect("lowering terminates every block") {
+                    Terminator::Jump(b) => b,
+                    Terminator::Branch {
+                        cond,
+                        then_blk,
+                        else_blk,
+                    } => {
+                        let taken = operand(&frame.regs, cond) != 0;
+                        self.sink.cond_branch(taken);
+                        if taken {
+                            then_blk
+                        } else {
+                            else_blk
+                        }
+                    }
+                    Terminator::Return(_) => break blk,
+                };
+                self.icount += 1;
+                frame.block = next;
+                frame.ip = 0;
+            };
+            let ip = frame.ip;
+            if self.icount >= limit {
+                break;
             }
+            self.icount += 1;
+            let step = match blk.instrs.get(ip) {
+                Some(instr) => match self.exec_instr(t, instr) {
+                    Ok(InstrFlow::Advance) => {
+                        self.threads[t].frames.last_mut().expect("live frame").ip += 1;
+                        StepResult::Continue
+                    }
+                    Ok(InstrFlow::Redirected) => StepResult::Continue,
+                    Ok(InstrFlow::Blocked) => StepResult::Blocked,
+                    Err(f) => StepResult::Fault(f),
+                },
+                None => match blk.term {
+                    Some(Terminator::Return(v)) => self.ret(t, v),
+                    _ => unreachable!("the block loop takes jumps and branches"),
+                },
+            };
+            if !matches!(step, StepResult::Continue) {
+                return step;
+            }
+        }
+        StepResult::Continue
+    }
+
+    fn ret(&mut self, t: usize, v: Option<Operand>) -> StepResult {
+        let value = v.map(|op| self.operand(t, op)).unwrap_or(0);
+        let frame = self.threads[t].frames.pop().expect("live frame");
+        self.sink.ret();
+        self.sink.ret_value(frame.func, value);
+        let tid = self.threads[t].tid;
+        self.mem.stack_restore(tid, frame.stack_mark);
+        if let Some(caller) = self.threads[t].frames.last_mut() {
+            if let Some(dst) = frame.ret_dst {
+                caller.regs[dst.0 as usize] = value;
+            }
+            caller.ip += 1; // move past the Call instruction
+            StepResult::Continue
+        } else {
+            self.thread_done(t);
+            StepResult::ThreadDone
         }
     }
 
@@ -342,39 +367,13 @@ impl<'p, S: TraceSink> Machine<'p, S> {
 
     fn exec_instr(&mut self, t: usize, instr: &Instr) -> Result<InstrFlow, RuntimeFault> {
         match instr {
-            Instr::Const { dst, value } => {
-                self.set_reg(t, *dst, *value);
-            }
-            Instr::Bin {
-                dst,
-                op,
-                a,
-                b,
-                width,
-            } => {
-                let av = self.operand(t, *a);
-                let bv = self.operand(t, *b);
-                let r = op.eval(*width, av, bv).ok_or(RuntimeFault::DivByZero)?;
-                self.set_reg(t, *dst, r);
-            }
-            Instr::Un { dst, op, a, width } => {
-                let av = self.operand(t, *a);
-                self.set_reg(t, *dst, op.eval(*width, av));
-            }
-            Instr::Cmp {
-                dst,
-                pred,
-                a,
-                b,
-                width,
-            } => {
-                let av = self.operand(t, *a);
-                let bv = self.operand(t, *b);
-                self.set_reg(t, *dst, u64::from(pred.eval(*width, av, bv)));
-            }
-            Instr::Cast { dst, a, from } => {
-                let av = self.operand(t, *a);
-                self.set_reg(t, *dst, from.trunc(av));
+            Instr::Const { .. }
+            | Instr::Bin { .. }
+            | Instr::Un { .. }
+            | Instr::Cmp { .. }
+            | Instr::Cast { .. }
+            | Instr::GlobalAddr { .. } => {
+                unreachable!("register instructions run in the block loop")
             }
             Instr::Load { dst, addr, width } => {
                 let a = self.operand(t, *addr);
@@ -385,10 +384,6 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 let a = self.operand(t, *addr);
                 let v = self.operand(t, *value);
                 self.mem.store(a, *width, v)?;
-            }
-            Instr::GlobalAddr { dst, global } => {
-                let g = &self.program.globals[global.0 as usize];
-                self.set_reg(t, *dst, g.addr);
             }
             Instr::StackAlloc { dst, size } => {
                 let tid = self.threads[t].tid;
@@ -525,6 +520,52 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
         Ok(InstrFlow::Advance)
     }
+}
+
+#[inline]
+fn operand(regs: &[u64], op: Operand) -> u64 {
+    match op {
+        Operand::Reg(r) => regs[r.0 as usize],
+        Operand::Imm(v) => v,
+    }
+}
+
+/// Executes `instr` if it reads and writes nothing but the frame's
+/// registers (`Const`, `Bin`, `Un`, `Cmp`, `Cast`, `GlobalAddr`); `None`
+/// for every other instruction.
+#[inline]
+fn exec_register(
+    instr: &Instr,
+    regs: &mut [u64],
+    globals: &[Global],
+) -> Option<Result<(), RuntimeFault>> {
+    let val = |op| operand(regs, op);
+    let (dst, v) = match *instr {
+        Instr::Const { dst, value } => (dst, value),
+        Instr::Bin {
+            dst,
+            op,
+            a,
+            b,
+            width,
+        } => match op.eval(width, val(a), val(b)) {
+            Some(v) => (dst, v),
+            None => return Some(Err(RuntimeFault::DivByZero)),
+        },
+        Instr::Un { dst, op, a, width } => (dst, op.eval(width, val(a))),
+        Instr::Cmp {
+            dst,
+            pred,
+            a,
+            b,
+            width,
+        } => (dst, u64::from(pred.eval(width, val(a), val(b)))),
+        Instr::Cast { dst, a, from } => (dst, from.trunc(val(a))),
+        Instr::GlobalAddr { dst, global } => (dst, globals[global.0 as usize].addr),
+        _ => return None,
+    };
+    regs[dst.0 as usize] = v;
+    Some(Ok(()))
 }
 
 enum InstrFlow {

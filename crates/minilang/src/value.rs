@@ -22,6 +22,7 @@ pub enum Width {
 
 impl Width {
     /// Number of bits.
+    #[inline]
     pub fn bits(self) -> u32 {
         match self {
             Width::W8 => 8,
@@ -37,6 +38,7 @@ impl Width {
     }
 
     /// Bit mask selecting the low `bits()` bits.
+    #[inline]
     pub fn mask(self) -> u64 {
         match self {
             Width::W64 => u64::MAX,
@@ -45,11 +47,13 @@ impl Width {
     }
 
     /// Truncates `v` to this width.
+    #[inline]
     pub fn trunc(self, v: u64) -> u64 {
         v & self.mask()
     }
 
     /// Sign-extends the low `bits()` bits of `v` to 64 bits.
+    #[inline]
     pub fn sext(self, v: u64) -> u64 {
         let b = self.bits();
         if b == 64 {
@@ -107,8 +111,12 @@ pub enum BinOp {
 impl BinOp {
     /// Evaluates the operation at `w`, wrapping. Returns `None` for division
     /// by zero (the interpreter turns that into a fault).
+    #[inline]
     pub fn eval(self, w: Width, a: u64, b: u64) -> Option<u64> {
         let (a, b) = (w.trunc(a), w.trunc(b));
+        // Shift amounts wrap modulo the width; widths are powers of two, so
+        // a mask computes it without a division.
+        let shift = b & u64::from(w.bits() - 1);
         let r = match self {
             BinOp::Add => a.wrapping_add(b),
             BinOp::Sub => a.wrapping_sub(b),
@@ -128,12 +136,9 @@ impl BinOp {
             BinOp::And => a & b,
             BinOp::Or => a | b,
             BinOp::Xor => a ^ b,
-            BinOp::Shl => a << (b % u64::from(w.bits())),
-            BinOp::LShr => a >> (b % u64::from(w.bits())),
-            BinOp::AShr => {
-                let sh = b % u64::from(w.bits());
-                w.trunc((w.sext(a) as i64 >> sh) as u64)
-            }
+            BinOp::Shl => a << shift,
+            BinOp::LShr => a >> shift,
+            BinOp::AShr => w.trunc((w.sext(a) as i64 >> shift) as u64),
         };
         Some(w.trunc(r))
     }
@@ -177,6 +182,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Evaluates the predicate at width `w`.
+    #[inline]
     pub fn eval(self, w: Width, a: u64, b: u64) -> bool {
         let (a, b) = (w.trunc(a), w.trunc(b));
         match self {
@@ -232,6 +238,7 @@ pub enum UnOp {
 
 impl UnOp {
     /// Evaluates the operation at width `w`, wrapping.
+    #[inline]
     pub fn eval(self, w: Width, a: u64) -> u64 {
         let a = w.trunc(a);
         let r = match self {

@@ -28,6 +28,8 @@ proptest! {
     fn binops_match_wide_reference(w in width(), a in any::<u64>(), b in any::<u64>()) {
         let mask = u128::from(w.mask());
         let (ta, tb) = (u128::from(w.trunc(a)), u128::from(w.trunc(b)));
+        let sh = tb % u128::from(w.bits());
+        let signed = i128::from(w.sext(a) as i64);
         let cases = [
             (BinOp::Add, (ta + tb) & mask),
             (BinOp::Sub, (ta.wrapping_sub(tb)) & mask),
@@ -35,6 +37,9 @@ proptest! {
             (BinOp::And, ta & tb),
             (BinOp::Or, ta | tb),
             (BinOp::Xor, ta ^ tb),
+            (BinOp::Shl, (ta << sh) & mask),
+            (BinOp::LShr, ta >> sh),
+            (BinOp::AShr, ((signed >> sh) as u128) & mask),
         ];
         for (op, expect) in cases {
             prop_assert_eq!(op.eval(w, a, b), Some(expect as u64), "{:?}", op);

@@ -117,6 +117,7 @@ impl PtSink {
         // the per-64-branches cost allocation-free.
         let count = self.tnt_count as u8;
         let nb = (self.tnt_count as usize).div_ceil(8);
+        self.stats.branches += u64::from(self.tnt_count);
         self.scratch.clear();
         self.scratch.push(0xA2);
         self.scratch.push(count);
@@ -153,16 +154,20 @@ impl PtSink {
         trace
     }
 
-    /// Tracing counters so far.
+    /// Tracing counters so far, branches still pending in the TNT
+    /// accumulator included.
     pub fn stats(&self) -> PtStats {
-        self.stats
+        PtStats {
+            branches: self.stats.branches + u64::from(self.tnt_count),
+            ..self.stats
+        }
     }
 }
 
 impl TraceSink for PtSink {
     #[inline]
     fn cond_branch(&mut self, taken: bool) {
-        self.stats.branches += 1;
+        // `stats.branches` is counted per flushed packet.
         self.tnt_acc |= u64::from(taken) << self.tnt_count;
         self.tnt_count += 1;
         if self.tnt_count == 64 {
@@ -503,6 +508,11 @@ mod tests {
         assert_eq!(st.rets, 1);
         assert_eq!(st.ptwrites, 1);
         assert_eq!(st.resumes, 1);
+        // Branches still waiting in the TNT accumulator count too.
+        s.cond_branch(false);
+        s.cond_branch(true);
+        assert_eq!(s.stats().branches, 3);
+        assert_eq!(s.finish().stats.branches, 3);
     }
 }
 

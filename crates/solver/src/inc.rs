@@ -343,6 +343,22 @@ impl IncrementalSolver {
         }
     }
 
+    /// Answers like a search that stopped on `budget`'s conflict limit,
+    /// without running it: a real search stops at conflict
+    /// `max_conflicts + 1`, and that count is what [`last_stats`] then
+    /// reports. The persistent lowering and search state are left as they
+    /// are. This is how an injected solver stall reaches its caller.
+    ///
+    /// [`last_stats`]: Self::last_stats
+    pub(crate) fn stall(&mut self, budget: &Budget) -> SatResult {
+        let conflicts = budget.max_conflicts.saturating_add(1);
+        self.last_stats = SolveStats {
+            conflicts,
+            ..SolveStats::default()
+        };
+        SatResult::Unknown(StallReason::Conflicts { conflicts })
+    }
+
     /// Work counters from the most recent check, mirroring what a fresh
     /// whole-query solver would report (cells and clauses are cumulative
     /// over the deduplicated constraint set; conflicts are per call).

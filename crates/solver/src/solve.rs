@@ -206,8 +206,8 @@ impl<'p> Solver<'p> {
 
     /// Checks the asserted formula under `budget`.
     pub fn check(&mut self, budget: &Budget) -> SatResult {
-        if let Some(stall) = chaos_stall(budget) {
-            return stall;
+        if chaos_stall() {
+            return self.inc.stall(budget);
         }
         self.inc.check(self.pool, &self.assertions, budget)
     }
@@ -215,8 +215,8 @@ impl<'p> Solver<'p> {
     /// Checks the asserted formula plus `assumptions` without retaining
     /// them.
     pub fn check_assuming(&mut self, assumptions: &[ExprRef], budget: &Budget) -> SatResult {
-        if let Some(stall) = chaos_stall(budget) {
-            return stall;
+        if chaos_stall() {
+            return self.inc.stall(budget);
         }
         self.inc
             .check_assuming(self.pool, &self.assertions, assumptions, budget)
@@ -228,19 +228,19 @@ impl<'p> Solver<'p> {
     }
 }
 
-/// Injected solver stall ([`er_chaos::Fault::SolverStall`]): models the
-/// paper's 30-second wall-clock timeout tripping before the search decides.
-/// Reported as an ordinary conflict-budget stall so every caller's existing
-/// stall handling — key data value selection, retry on the next occurrence —
+/// Whether to inject a solver stall ([`er_chaos::Fault::SolverStall`]):
+/// models the paper's 30-second wall-clock timeout tripping before the
+/// search decides. The stall is reported, and its conflicts counted in
+/// [`Solver::last_stats`], exactly like the query's own conflict limit
+/// tripping, so every caller's existing stall handling — key data value
+/// selection, retry on the next occurrence, a watchdog meter's billing —
 /// exercises unchanged; no caller can tell an injected stall from a real one.
-fn chaos_stall(budget: &Budget) -> Option<SatResult> {
-    if er_chaos::inject(er_chaos::Fault::SolverStall).is_some() {
+fn chaos_stall() -> bool {
+    let stalled = er_chaos::inject(er_chaos::Fault::SolverStall).is_some();
+    if stalled {
         er_chaos::note_degraded(er_chaos::Domain::Solver);
-        return Some(SatResult::Unknown(StallReason::Conflicts {
-            conflicts: budget.max_conflicts,
-        }));
     }
-    None
+    stalled
 }
 
 #[cfg(test)]

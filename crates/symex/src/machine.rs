@@ -19,6 +19,37 @@ use er_solver::inc::IncrementalSolver;
 use er_solver::meter::Meter;
 use er_solver::solve::{Budget, SatResult, StallReason};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The multiply-rotate hash rustc uses for small integer keys. The step
+/// loop hashes a site for every value-defining step, which puts the hasher
+/// on the hot path. Keys are program sites, not outside input, so
+/// collision resistance is not needed.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Dynamic execution count per value-defining site.
+type SiteCounts = HashMap<InstrId, u64, BuildHasherDefault<FxHasher>>;
 
 /// Configuration for a shepherded run.
 #[derive(Debug, Clone, Copy)]
@@ -227,7 +258,7 @@ pub struct MachineState {
     inputs: Vec<InputRecord>,
     input_offsets: HashMap<u32, usize>,
     origins: HashMap<ExprRef, InstrId>,
-    site_counts: HashMap<InstrId, u64>,
+    site_counts: SiteCounts,
     clock: u64,
     stats: SymStats,
     heap_seq: u64,
@@ -292,7 +323,7 @@ impl MachineState {
                 };
             }
         }
-        let mut site_counts = HashMap::with_capacity(self.site_counts.len());
+        let mut site_counts = SiteCounts::default();
         for (site, n) in self.site_counts.drain() {
             site_counts.insert(f(site)?, n);
         }
@@ -362,7 +393,7 @@ pub struct SymMachine<'p> {
     inputs: Vec<InputRecord>,
     input_offsets: HashMap<u32, usize>,
     origins: HashMap<ExprRef, InstrId>,
-    site_counts: HashMap<InstrId, u64>,
+    site_counts: SiteCounts,
     clock: u64,
     stats: SymStats,
     heap_seq: u64,
@@ -404,7 +435,7 @@ impl<'p> SymMachine<'p> {
             inputs: Vec::new(),
             input_offsets: HashMap::new(),
             origins: HashMap::new(),
-            site_counts: HashMap::new(),
+            site_counts: SiteCounts::default(),
             clock: 0,
             stats: SymStats::default(),
             heap_seq: 0,
@@ -526,7 +557,7 @@ impl<'p> SymMachine<'p> {
             failure_constraint,
             inputs: self.inputs,
             origins: self.origins,
-            site_counts: self.site_counts,
+            site_counts: self.site_counts.into_iter().collect(),
             longest_chain,
             stall_subject,
             stats,
@@ -774,21 +805,18 @@ impl<'p> SymMachine<'p> {
         cursor: &mut usize,
         at: InstrId,
     ) -> Result<StepOutcome, Stop> {
-        let (func, block, ip) = {
-            let f = self.threads[self.cur].frames.last().expect("live frame");
-            (f.func, f.block, f.ip)
-        };
-        let blk = self.program.func(func).block(block);
-        if ip >= blk.instrs.len() {
+        // `at` is the running frame's position: its terminator sentinel
+        // indexes no instruction.
+        let blk = self.program.func(at.func).block(at.block);
+        let Some(instr) = blk.instrs.get(at.index) else {
+            let term = blk.term.as_ref().expect("terminated blocks");
             // Branch and Return terminators consume events; yield to a
             // pending thread switch first.
-            if !matches!(blk.term, Some(Terminator::Jump(_))) && self.switch_pending(events, cursor)
-            {
+            if !matches!(term, Terminator::Jump(_)) && self.switch_pending(events, cursor) {
                 return Ok(StepOutcome::SwitchDue);
             }
-            return self.exec_terminator(events, cursor, at, func, block);
-        }
-        let instr = blk.instrs[ip].clone();
+            return self.exec_terminator(events, cursor, at, term);
+        };
         if matches!(instr, Instr::Call { .. } | Instr::PtWrite { .. })
             && self.switch_pending(events, cursor)
         {
@@ -797,7 +825,7 @@ impl<'p> SymMachine<'p> {
         if instr.dst().is_some() {
             *self.site_counts.entry(at).or_insert(0) += 1;
         }
-        self.exec_instr(events, cursor, at, &instr)
+        self.exec_instr(events, cursor, at, instr)
     }
 
     fn consume_event<'e>(
@@ -1279,17 +1307,9 @@ impl<'p> SymMachine<'p> {
         events: &[TraceEvent],
         cursor: &mut usize,
         at: InstrId,
-        func: FuncId,
-        block: BlockId,
+        term: &Terminator,
     ) -> Result<StepOutcome, Stop> {
-        let term = self
-            .program
-            .func(func)
-            .block(block)
-            .term
-            .clone()
-            .expect("terminated blocks");
-        match term {
+        match *term {
             Terminator::Jump(b) => {
                 let f = self.threads[self.cur]
                     .frames
